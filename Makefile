@@ -2,9 +2,10 @@
 # PYTHONPATH=src — no install step required.
 
 PYTHON ?= python
+WORKLOAD ?= all
 export PYTHONPATH := src
 
-.PHONY: test test-service chaos bench bench-smoke bench-solver bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos lint docs-check ci all
+.PHONY: test test-service chaos bench bench-smoke bench-solver bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos e2e lint docs-check ci all
 
 all: test docs-check
 
@@ -80,6 +81,12 @@ bench-chaos:
 # emits its artifact — bench-harness regressions without the bench cost.
 bench-smoke:
 	$(PYTHON) tools/bench_smoke.py
+
+# The end-to-end benchmark (e2ebench/run.py): steady-state throughput,
+# p95 latency, set-up time and peak RSS of the sweep, solver and serve
+# workloads, with digest checks.  `make e2e WORKLOAD=sweep` runs one.
+e2e:
+	python3 e2ebench/run.py --workload $(WORKLOAD)
 
 # repro-lint: the project's AST invariant checker (rule catalog in
 # docs/LINT.md).  Exits nonzero on any unsuppressed finding.

@@ -139,7 +139,8 @@ def _alarm(seconds: Optional[float]):
         raise _CaseTimeout()
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # Re-fire every ``seconds``: an alarm raised inside a gc callback is swallowed.
+    signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
     try:
         yield
     finally:

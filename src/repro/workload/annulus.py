@@ -60,6 +60,21 @@ class AnnulusCoefficients:
         return max(self.core_rel * radius, self.core_min * r_init)
 
 
+def _tile_window(geom: Geometry, tile: int, reach: float, center: Tuple[float, float]):
+    """Tile-index ``(slices, origin)`` of the disk of radius ``reach`` about
+    ``center``: its tile bounding box plus one tile of margin against
+    rounding, clamped to the domain (all of it when a bound is not finite)."""
+    window = []
+    for c, lo, d, n in zip(center, geom.prob_lo, geom.cell_size, geom.domain.shape):
+        span = tile * d or math.nan  # a zero-width domain has no finite bound
+        first, last = sorted(((c - reach - lo) / span, (c + reach - lo) / span))
+        if not (math.isfinite(first) and math.isfinite(last)):
+            first, last = 0.0, float(n)
+        start = min(max(math.floor(first) - 2, 0), n // tile)
+        window.append(slice(start, min(max(math.floor(last) + 2, start), n // tile)))
+    return tuple(window), (window[0].start, window[1].start)
+
+
 def refined_region_mask(
     geom: Geometry,
     tile: int,
@@ -78,31 +93,36 @@ def refined_region_mask(
     ``[R - w, R + w]``.  (Partial tiles still count fully — the same
     whole-grid rounding a real regrid performs at blocking-factor
     granularity.)
+
+    Every tagged tile meets the disk of radius ``max(R + w, core)``, so
+    the test runs only on that disk's tile window; the rest stays False.
     """
+    if tile <= 0:
+        raise ValueError(f"tile must be positive, got {tile}")
     nx, ny = geom.domain.shape
     if nx % tile or ny % tile:
         raise ValueError(f"domain {geom.domain.shape} not divisible by tile {tile}")
-    tnx, tny = nx // tile, ny // tile
+    mask = np.zeros((nx // tile, ny // tile), dtype=bool)
+    (rows, cols), _ = _tile_window(geom, tile, max(radius + half_width, core_radius), center)
     dx, dy = geom.cell_size
-    # Tile bounds in physical coordinates.
-    x_lo = geom.prob_lo[0] + np.arange(tnx) * tile * dx
+    # Tile bounds in physical coordinates, as a column and a row.
+    x_lo = (geom.prob_lo[0] + np.arange(rows.start, rows.stop) * tile * dx)[:, None]
     x_hi = x_lo + tile * dx
-    y_lo = geom.prob_lo[1] + np.arange(tny) * tile * dy
+    y_lo = (geom.prob_lo[1] + np.arange(cols.start, cols.stop) * tile * dy)[None, :]
     y_hi = y_lo + tile * dy
-    XLO, YLO = np.meshgrid(x_lo, y_lo, indexing="ij")
-    XHI, YHI = np.meshgrid(x_hi, y_hi, indexing="ij")
     cx, cy = center
     # Nearest point of each tile to the center (clamped projection).
-    nearest_dx = np.maximum(np.maximum(XLO - cx, cx - XHI), 0.0)
-    nearest_dy = np.maximum(np.maximum(YLO - cy, cy - YHI), 0.0)
+    nearest_dx = np.maximum(np.maximum(x_lo - cx, cx - x_hi), 0.0)
+    nearest_dy = np.maximum(np.maximum(y_lo - cy, cy - y_hi), 0.0)
     r_min = np.sqrt(nearest_dx**2 + nearest_dy**2)
     # Farthest corner of each tile from the center.
-    far_dx = np.maximum(np.abs(XLO - cx), np.abs(XHI - cx))
-    far_dy = np.maximum(np.abs(YLO - cy), np.abs(YHI - cy))
+    far_dx = np.maximum(np.abs(x_lo - cx), np.abs(x_hi - cx))
+    far_dy = np.maximum(np.abs(y_lo - cy), np.abs(y_hi - cy))
     r_max = np.sqrt(far_dx**2 + far_dy**2)
     in_band = (r_min <= radius + half_width) & (r_max >= radius - half_width)
     in_core = r_min <= core_radius
-    return in_band | in_core
+    mask[rows, cols] = in_band | in_core
+    return mask
 
 
 def annulus_boxarray(
@@ -119,24 +139,28 @@ def annulus_boxarray(
 
     Clusters the tile mask with Berger–Rigoutsos, scales tile boxes back
     to cells, and chops to ``max_grid_size`` — the same pipeline a real
-    regrid runs, at tile granularity.
+    regrid runs, at tile granularity.  Clustering sees only the tile
+    window that holds every tag, so the boxes are the full mask's.
 
-    ``tile`` defaults to the largest power-of-two multiple of the
-    blocking factor that divides the domain and keeps the mask under
-    ~2^22 entries.
+    ``tile`` defaults to the blocking factor, doubled (up to
+    ``max_grid_size``) while the level spans more than 2048^2 tiles: it
+    fixes the clustering granularity, and so the layouts, of each mesh
+    size.  Memory is bounded by the window, not by the tile.
     """
     nx, ny = geom.domain.shape
     if tile is None:
         tile = grid_params.blocking_factor
-        # Keep the tile mask at most ~2048^2 entries.
+        # Coarsen to at most ~2048^2 tiles: this sets the layouts.
         while (nx // tile) * (ny // tile) > 2048 * 2048 and tile * 2 <= grid_params.max_grid_size:
             tile *= 2
     if tile % grid_params.blocking_factor:
         raise ValueError("tile must be a multiple of blocking_factor")
     mask = refined_region_mask(geom, tile, radius, half_width, core_radius, center)
-    if not mask.any():
+    window, origin = _tile_window(geom, tile, max(radius + half_width, core_radius), center)
+    tags = mask[window]
+    if not tags.any():
         return BoxArray()
-    clustered = berger_rigoutsos(mask, params=ClusterParams(grid_eff=grid_eff))
+    clustered = berger_rigoutsos(tags, origin=origin, params=ClusterParams(grid_eff=grid_eff))
     boxes: List[Box] = []
     for b in clustered:
         cell_box = Box(

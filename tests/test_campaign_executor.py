@@ -52,10 +52,26 @@ class TestExecutor:
         assert set(serial.failures) == {c.name for c in cases}
 
     def test_per_case_timeout(self):
-        big = sweep_cases(mesh_ladder=[(4096, 256, 16)], cfls=(0.5,), max_levels=(2,))
+        # A 131072^2 mesh: seconds of per-box layout work, far past 0.2 s.
+        big = sweep_cases(mesh_ladder=[(131_072, 1024, 512)], cfls=(0.5,), max_levels=(1,))
         campaign = run_campaign(big, jobs=2, timeout=0.2)
         assert set(campaign.failures) == {big[0].name}
         assert "timed out" in campaign.failures[big[0].name]
+
+    def test_swallowed_timeout_fires_again(self):
+        """An alarm swallowed where it landed (a gc callback, say) must
+        not let the case run on untimed."""
+        import time
+
+        from repro.campaign.executor import _alarm, _CaseTimeout
+
+        with pytest.raises(_CaseTimeout):
+            with _alarm(0.05):
+                try:
+                    time.sleep(1.0)
+                except _CaseTimeout:
+                    pass
+                time.sleep(1.0)
 
     def test_duplicate_case_names_rejected(self):
         cases = small_sweep(1)
