@@ -8,8 +8,9 @@ overhead.  :class:`FusedLevelPlan` applies the ``derive_fields_flat``
 trick (PR 4) to the solver hot path: fabs with identical shapes (the
 common case after ``chop``) are gathered into
 ``(ncomp, nfabs, nx+2g, ny+2g)`` stacks and the chain runs once per
-*cache-blocked slab* of the shape-group (at most ``_CHUNK_CELLS`` grown
-cells per component per kernel call) via
+*cache-blocked slab* of the shape-group (at most
+``repro.hydro.flux._CHUNK_CELLS`` grown cells per component per kernel
+call, so each runs as one row slab) via
 :func:`repro.hydro.flux.advance_stacked` — bit-identical to the per-fab
 path because every kernel op is elementwise or sliced along the grid
 axes only, and slab boundaries only partition the independent fab axis.
@@ -40,18 +41,9 @@ import numpy as np
 from .. import sanitize
 from ..amr.multifab import MultiFab
 from .eos import GammaLawEOS
-from .flux import advance_patch, advance_stacked
+from .flux import _CHUNK_CELLS, advance_patch, advance_stacked
 
 __all__ = ["FusedLevelPlan"]
-
-# Grown cells (per component) per stacked kernel slab.  Chunking the
-# group keeps every kernel temporary a few hundred KB — cache-resident
-# and recycled from numpy's allocator — instead of tens of MB at
-# paper-scale groups (1024 fabs), where the one-shot stack goes
-# memory-bound and loses most of the fusion win.  ~12800 cells (32 fabs
-# of 16²+2g) measured fastest across 16²–32² fab sizes; the win is flat
-# within 2x of this, so one constant serves all layouts.
-_CHUNK_CELLS = 12800
 
 
 class FusedLevelPlan:

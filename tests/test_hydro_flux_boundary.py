@@ -5,8 +5,11 @@ import pytest
 
 from repro.hydro.boundary import BC, apply_boundary
 from repro.hydro.eos import GammaLawEOS
-from repro.hydro.flux import NGHOST_REQUIRED, advance_patch
-from repro.hydro.state import NCOMP, QP, QRHO, UEDEN, UMX, UMY, URHO, prim_to_cons
+from repro.hydro import flux
+from repro.hydro.flux import _CHUNK_CELLS, NGHOST_REQUIRED, advance_patch, advance_stacked
+from repro.hydro.reconstruction import LIMITERS, interface_states
+from repro.hydro.riemann import RIEMANN_SOLVERS
+from repro.hydro.state import NCOMP, QP, QRHO, QU, QV, UEDEN, UMX, UMY, URHO, cons_to_prim, prim_to_cons
 
 EOS = GammaLawEOS()
 G = NGHOST_REQUIRED
@@ -115,3 +118,141 @@ class TestBoundary:
     def test_zero_ghost_noop(self):
         U = uniform_patch(4, 4, g=0)
         apply_boundary(U, 0)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# Seed reference implementation (verbatim from the pre-slab code: one
+# pass of the kernel chain over full-mesh temporaries).
+
+def seed_advance_core(U, dt, dx, dy, eos, nghost, riemann, limiter):
+    """Shared Godunov update over the trailing two grid axes of ``U``."""
+    if nghost < NGHOST_REQUIRED:
+        raise ValueError(f"advance needs >= {NGHOST_REQUIRED} ghosts, got {nghost}")
+    try:
+        solver = RIEMANN_SOLVERS[riemann]
+    except KeyError:
+        raise ValueError(
+            f"unknown riemann solver {riemann!r}; choose from {sorted(RIEMANN_SOLVERS)}"
+        ) from None
+    g = nghost
+    X, Y = U.shape[-2], U.shape[-1]
+    nx = X - 2 * g
+    ny = Y - 2 * g
+    W = cons_to_prim(U, eos)
+
+    # --- x-fluxes ------------------------------------------------------
+    # Work on rows [g-1, -g+1) so slopes see one extra cell each side.
+    Wx = W[..., g - 2 : X - (g - 2), g : Y - g]
+    WLx, WRx = interface_states(Wx, axis=-2, limiter=limiter)
+    Fx = solver(WLx, WRx, eos)
+    # Interface k of Wx separates its cells k,k+1; the valid faces are
+    # those bounding valid cells: indices 1 .. nx+1 of Fx.
+    Fx_valid = Fx[..., 1 : nx + 2, :]  # nx+1 faces
+
+    # --- y-fluxes (solver reads the normal velocity from QV directly) --
+    Wy = W[..., g : X - g, g - 2 : Y - (g - 2)]
+    WLy, WRy = interface_states(Wy, axis=-1, limiter=limiter)
+    Gy = solver(WLy, WRy, eos, iu=QV, iv=QU)
+    Gy_valid = Gy[..., 1 : ny + 2]  # ny+1 faces
+
+    Uv = U[..., g : g + nx, g : g + ny]
+    Unew = Uv - dt / dx * (Fx_valid[..., 1:, :] - Fx_valid[..., :-1, :]) \
+              - dt / dy * (Gy_valid[..., 1:] - Gy_valid[..., :-1])
+    return Unew
+
+
+def blast_state(lead, nx, ny, g=G, seed=0):
+    """A ghosted Sedov-like blast with random flow, so every wave regime
+    and every limiter branch occurs; ``lead`` is () or (nfabs,)."""
+    rng = np.random.default_rng(seed)
+    shape = (NCOMP,) + tuple(lead) + (nx + 2 * g, ny + 2 * g)
+    W = np.empty(shape)
+    W[QRHO] = rng.uniform(0.2, 2.0, shape[1:])
+    W[1] = rng.uniform(-3.0, 3.0, shape[1:])
+    W[2] = rng.uniform(-3.0, 3.0, shape[1:])
+    W[QP] = 10.0 ** rng.uniform(-4, 4, shape[1:])
+    return prim_to_cons(W, EOS)
+
+
+def slab_rows(U, g):
+    """Output rows per kernel slab, as ``_advance_core`` sizes them."""
+    per_row = int(np.prod(U.shape[1:-2])) * (U.shape[-1] - 2 * g + 2 * G)
+    return max(1, _CHUNK_CELLS // per_row - 2 * G)
+
+
+def assert_matches_seed(U, g, riemann="hllc", limiter="minmod"):
+    dt, dx, dy = 1e-4, 0.01, 0.02
+    new = (advance_patch if U.ndim == 3 else advance_stacked)(
+        U, dt, dx, dy, EOS, nghost=g, riemann=riemann, limiter=limiter)
+    old = seed_advance_core(U, dt, dx, dy, EOS, g, riemann, limiter)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+class TestSlabbedAdvanceMatchesSeed:
+    """The row-slab advance is bit-identical (uint64 views) to the seed's
+    one-pass chain, at every slab edge and for every kernel choice."""
+
+    @pytest.mark.parametrize("riemann", sorted(RIEMANN_SOLVERS))
+    @pytest.mark.parametrize("limiter", sorted(LIMITERS))
+    def test_solvers_and_limiters_across_slabs(self, riemann, limiter):
+        U = blast_state((), 45, 600, seed=1)
+        assert 45 > 2 * slab_rows(U, G)  # three slabs
+        assert_matches_seed(U, G, riemann, limiter)
+
+    @pytest.mark.parametrize("nx", [1, 10, 40, 51])
+    def test_slab_edges(self, nx):
+        # nx = 1, nx within one slab, and nx not a multiple of the slab
+        # height (ny = 600 gives 17-row slabs).
+        U = blast_state((), nx, 600, seed=nx)
+        assert slab_rows(U, G) == 17
+        assert_matches_seed(U, G)
+
+    def test_exact_multiple_of_slab_rows(self):
+        U = blast_state((), 34, 600, seed=2)
+        assert 34 % slab_rows(U, G) == 0
+        assert_matches_seed(U, G)
+
+    def test_more_ghosts_than_needed(self):
+        U = blast_state((), 40, 600, g=3, seed=3)
+        assert 40 > slab_rows(U, 3)
+        assert_matches_seed(U, 3)
+        assert_matches_seed(U, 3, riemann="hll", limiter="superbee")
+
+    def test_dense_patch_wider_than_a_slab(self):
+        # One grown row alone exceeds _CHUNK_CELLS: one row per slab.
+        U = blast_state((), 5, _CHUNK_CELLS, seed=4)
+        assert slab_rows(U, G) == 1
+        assert_matches_seed(U, G)
+
+    @pytest.mark.parametrize("riemann", sorted(RIEMANN_SOLVERS))
+    def test_stacked_across_slabs(self, riemann):
+        # The fab axis counts toward the slab size: 5 fabs of 100 cells
+        # wide give 20-row slabs.
+        U = blast_state((5,), 45, 100, seed=5)
+        assert slab_rows(U, G) == 20
+        assert_matches_seed(U, G, riemann, "mc")
+
+    @pytest.mark.parametrize("lead,nx,ny,g", [((), 51, 600, G), ((), 40, 600, 3),
+                                              ((5,), 45, 100, G), ((32,), 16, 16, G)])
+    def test_slabs_hold_at_most_chunk_cells(self, monkeypatch, lead, nx, ny, g):
+        seen = []
+
+        def spy(U, eos):
+            seen.append(U.shape)
+            return cons_to_prim(U, eos)
+
+        monkeypatch.setattr(flux, "cons_to_prim", spy)
+        U = blast_state(lead, nx, ny, g=g, seed=7)
+        rows = slab_rows(U, g)
+        advance_patch(U, 1e-4, 0.01, 0.01, EOS, nghost=g) if not lead else \
+            advance_stacked(U, 1e-4, 0.01, 0.01, EOS, nghost=g)
+        assert len(seen) == -(-nx // rows)
+        assert [s[-2] - 2 * G for s in seen] == [min(rows, nx - r) for r in range(0, nx, rows)]
+        assert all(np.prod(s[1:]) <= _CHUNK_CELLS for s in seen)
+
+    def test_fused_chunk_is_one_slab(self):
+        # A fused-plan chunk (32 fabs of 16^2 + 2g) fits one slab.
+        U = blast_state((32,), 16, 16, seed=6)
+        assert slab_rows(U, G) >= 16
+        assert_matches_seed(U, G)
